@@ -4,22 +4,25 @@ Two records:
 
 ``fleet_medium_scan`` — the equal-semantics scaling curve.  Clustered
 co-channel transceivers with no-op receivers exchange scripted tones on
-a dense medium and a sharded medium configured with the *same* range
-cutoff (the differential suite proves the outputs identical), so the
-wall-clock difference is purely the candidate-scan cost the cell/channel
-interest sets avoid.  The extra block records the full nodes-vs-ms curve;
-the headline is the largest size, and ``speedup_vs_dense`` at that size
-feeds the regression gate.
+the cell-grid :class:`RfMedium` and on the brute-force
+:class:`~tests.radio.dense.DenseRfMedium` oracle configured with the
+*same* range cutoff (the differential suite proves the outputs
+identical), so the wall-clock difference is purely the candidate-scan
+cost the cell/channel interest sets avoid.  The extra block records the
+full nodes-vs-ms curve; the headline is the largest size, and
+``speedup_vs_dense`` at that size feeds the regression gate.
 
 ``fleet_campaign_sharded`` — the end-to-end fleet campaign (≥200 nodes,
-channel reuse, WazaBee flooders) on the sharded medium vs the legacy
-*unbounded* dense broadcast medium, which delivers — and decodes — every
-frame at every co-channel radio.  This is what running the campaign cost
-before interest management existed; expect order-of-magnitude ratios.
+channel reuse, WazaBee flooders) with the fleet's range cutoff vs the
+same spec with ``range_cutoff_m=None``: an unbounded broadcast medium
+that delivers — and decodes — every frame at every co-channel radio.
+This is what running the campaign costs without a cutoff; expect
+order-of-magnitude ratios.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import List
 
@@ -28,8 +31,9 @@ import numpy as np
 from benchmarks.perf.harness import BenchRecord, best_of
 from repro.dsp.signal import IQSignal
 from repro.experiments.fleet import run_fleet_campaign
-from repro.radio import RfMedium, Scheduler, ShardedRfMedium, Transceiver
+from repro.radio import RfMedium, Scheduler, Transceiver
 from repro.zigbee.fleet import make_fleet
+from tests.radio.dense import DenseRfMedium
 
 __all__ = ["bench_fleet"]
 
@@ -79,11 +83,11 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
     curve = {}
     for num_nodes in sizes:
         dense_s = best_of(
-            lambda n=num_nodes: _scan_world(RfMedium, n, txs_per_node),
+            lambda n=num_nodes: _scan_world(DenseRfMedium, n, txs_per_node),
             repeats=repeats,
         )
         sharded_s = best_of(
-            lambda n=num_nodes: _scan_world(ShardedRfMedium, n, txs_per_node),
+            lambda n=num_nodes: _scan_world(RfMedium, n, txs_per_node),
             repeats=repeats,
         )
         curve[num_nodes] = (dense_s, sharded_s)
@@ -103,7 +107,7 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
         )
     )
 
-    # -- end-to-end campaign vs the legacy broadcast medium -----------------
+    # -- end-to-end campaign vs the unbounded broadcast medium --------------
     num_nodes = 60 if quick else 208
     num_pans = 6 if quick else 16
     duration_s = 0.2
@@ -112,18 +116,18 @@ def bench_fleet(quick: bool = False) -> List[BenchRecord]:
         num_nodes=num_nodes, num_pans=num_pans, seed=5, channel_reuse=True
     )
 
-    def run(kind: str) -> None:
+    def run(fleet_spec) -> None:
         run_fleet_campaign(
-            spec,
+            fleet_spec,
             duration_s=duration_s,
             attack=True,
             flood_rate_hz=flood_rate_hz,
-            medium_kind=kind,
             sample_interval_s=duration_s,
         )
 
-    sharded_s = best_of(lambda: run("sharded"), repeats=repeats)
-    legacy_s = best_of(lambda: run("dense-unbounded"), repeats=1)
+    sharded_s = best_of(lambda: run(spec), repeats=repeats)
+    unbounded = dataclasses.replace(spec, range_cutoff_m=None)
+    legacy_s = best_of(lambda: run(unbounded), repeats=1)
     records.append(
         BenchRecord(
             name="fleet_campaign_sharded",

@@ -3,7 +3,7 @@
 
 The single-victim ``energy_depletion.py`` demo drains one sensor.  Real
 deployments are buildings full of them — so this campaign builds a
-multi-PAN fleet on the spatially sharded medium, lets it report normally
+multi-PAN fleet on the cell-grid medium, lets it report normally
 for a baseline run, then repeats the run with one WazaBee flooder per PAN
 rotating ack-requested frames across every battery-powered node.  The
 comparison shows the three fleet-level symptoms the paper's §VII residual
@@ -29,7 +29,6 @@ def run(attack: bool, duration_s: float = DURATION_S):
         duration_s=duration_s,
         attack=attack,
         flood_rate_hz=120.0,
-        medium_kind="sharded",
     )
 
 

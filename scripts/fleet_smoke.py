@@ -3,7 +3,7 @@
 
 Runs ``python -m repro fleet`` as a subprocess — the exact operator
 invocation — on a reduced 50-node / 4-PAN depletion campaign over the
-sharded medium, with tracing and metrics enabled, then asserts the three
+cell-grid medium, with tracing and metrics enabled, then asserts the three
 things a broken fleet stack cannot fake:
 
 * exit code 0 (the CLI itself returns non-zero on an unbalanced ledger);
@@ -49,8 +49,6 @@ def main() -> None:
             str(DURATION_S),
             "--flood-rate",
             "100",
-            "--medium",
-            "sharded",
             "--trace",
             trace_path,
             "--metrics",

@@ -14,7 +14,7 @@ Gives downstream users one-command access to every reproduction artefact:
   subscriber sessions over a Unix socket, with bounded queues,
   backpressure and replay);
 * ``fleet`` — run the fleet-scale energy-depletion campaign (multi-PAN
-  topology on the spatially sharded medium, per-node battery curves,
+  topology on the cell-grid medium, per-node battery curves,
   exact delivery-ledger check).
 """
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="fleet-scale energy-depletion campaign on the sharded medium",
+        help="fleet-scale energy-depletion campaign",
     )
     fleet.add_argument("--nodes", type=int, default=50, help="total node count")
     fleet.add_argument("--pans", type=int, default=4, help="number of PANs")
@@ -136,13 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200.0,
         metavar="HZ",
         help="attacker frames/second per PAN",
-    )
-    fleet.add_argument(
-        "--medium",
-        choices=("sharded", "dense", "dense-unbounded"),
-        default="sharded",
-        help="medium implementation ('dense' keeps the sharded range "
-        "cutoff; results are byte-identical, only slower)",
     )
     fleet.add_argument(
         "--workers",
@@ -530,7 +523,6 @@ def _cmd_fleet(args) -> int:
             duration_s=args.duration,
             attack=not args.no_attack,
             flood_rate_hz=args.flood_rate,
-            medium_kind=args.medium,
             workers=args.workers,
             sample_interval_s=args.sample_interval,
             chaos=args.chaos,

@@ -39,7 +39,7 @@ from repro.faults.plan import named_profile
 from repro.obs import FLEET_SAMPLE, scoped
 from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
-from repro.radio import RfMedium, Scheduler, ShardedRfMedium
+from repro.radio import RfMedium, Scheduler
 from repro.zigbee.fleet import Fleet, FleetSpec, PanSpec, build_fleet
 from repro.zigbee.network import RouterNode, SensorNode
 
@@ -53,8 +53,6 @@ __all__ = [
 #: Source address the flood frames are spoofed from (any in-PAN short
 #: address passes destination filtering; this one is never allocated).
 SPOOFED_SOURCE_ADDRESS = 0x0FFF
-
-MEDIUM_KINDS = ("sharded", "dense", "dense-unbounded")
 
 
 @dataclass
@@ -164,29 +162,6 @@ def _subset_spec(spec: FleetSpec, pans: Tuple[PanSpec, ...]) -> FleetSpec:
     )
 
 
-def _make_medium(
-    spec: FleetSpec, scheduler: Scheduler, medium_kind: str
-) -> RfMedium:
-    kwargs = dict(
-        sample_rate=spec.sample_rate,
-        rng=np.random.default_rng(spec.seed + 1),
-        seed=spec.seed + 1,
-    )
-    if medium_kind == "sharded":
-        return ShardedRfMedium(
-            scheduler, range_cutoff_m=spec.range_cutoff_m, **kwargs
-        )
-    if medium_kind == "dense":
-        return RfMedium(
-            scheduler, range_cutoff_m=spec.range_cutoff_m, **kwargs
-        )
-    if medium_kind == "dense-unbounded":
-        return RfMedium(scheduler, **kwargs)
-    raise ValueError(
-        f"unknown medium kind {medium_kind!r}; choose from {MEDIUM_KINDS}"
-    )
-
-
 def _group_args(kwargs: Dict) -> Dict:
     """Module-level trampoline so groups pickle cleanly to workers."""
     return _run_group(**kwargs)
@@ -206,7 +181,6 @@ def _run_group(
     flood_rate_hz: float,
     sample_interval_s: float,
     chaos: Optional[str],
-    medium_kind: str,
 ) -> Dict:
     """Simulate one (sub-)fleet start to finish in an isolated obs scope.
 
@@ -216,7 +190,13 @@ def _run_group(
     """
     with scoped() as (_bus, registry):
         scheduler = Scheduler()
-        medium = _make_medium(spec, scheduler, medium_kind)
+        medium = RfMedium(
+            scheduler,
+            sample_rate=spec.sample_rate,
+            rng=np.random.default_rng(spec.seed + 1),
+            seed=spec.seed + 1,
+            range_cutoff_m=spec.range_cutoff_m,
+        )
         if chaos is not None:
             medium.install_fault_injector(
                 FaultInjector(
@@ -363,13 +343,17 @@ def run_fleet_campaign(
 
     ``workers > 1`` requires ``chaos=None``: scripted fault bursts draw
     from one global plan stream, which cannot be split across processes
-    without diverging from the serial run.
+    without diverging from the serial run.  ``medium_kind`` names the
+    medium in the result; ``"sharded"`` (the cell-grid
+    :class:`~repro.radio.RfMedium`) is the only one.  An unbounded medium
+    is ``spec.range_cutoff_m=None``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if medium_kind not in MEDIUM_KINDS:
+    if medium_kind != "sharded":
         raise ValueError(
-            f"unknown medium kind {medium_kind!r}; choose from {MEDIUM_KINDS}"
+            f"unknown medium kind {medium_kind!r}; the only medium is "
+            "'sharded'"
         )
     if chaos is not None and workers > 1:
         raise ValueError(
@@ -382,7 +366,6 @@ def run_fleet_campaign(
         flood_rate_hz=flood_rate_hz,
         sample_interval_s=sample_interval_s,
         chaos=chaos,
-        medium_kind=medium_kind,
     )
     if workers == 1:
         outcomes = [_group_args(dict(spec=spec, **common))]
@@ -405,7 +388,9 @@ def run_fleet_campaign(
                 initargs=(spec.sample_rate,),
             ) as pool:
                 outcomes = list(pool.map(_group_args, groups))
-    return _merge_outcomes(spec, outcomes, workers=workers, **common)
+    return _merge_outcomes(
+        spec, outcomes, workers=workers, medium_kind=medium_kind, **common
+    )
 
 
 def _merge_outcomes(

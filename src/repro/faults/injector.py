@@ -20,8 +20,8 @@ counters, truncation/sample-drop cadence, gap positions) is keyed by the
 receiving radio's name, so each receiver sees the same fault sequence
 regardless of how deliveries to *other* receivers interleave with its own.
 A run under a given (seed, plan, per-receiver delivery sequence) is
-therefore bit-identical whether the fleet is simulated densely, sharded,
-or with a different set of bystander nodes attached.
+therefore bit-identical whatever the medium's scan order over other
+receivers, and with a different set of bystander nodes attached.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ class FaultStats:
     captures_truncated: int = 0
     captures_sample_dropped: int = 0
     captures_cfo_shifted: int = 0
-
-    def total_faults(self) -> int:
-        return (
-            self.bursts_injected
-            + self.deliveries_dropped
-            + self.deliveries_duplicated
-            + self.captures_truncated
-            + self.captures_sample_dropped
-            + self.captures_cfo_shifted
-        )
 
 
 class _JammerSource:

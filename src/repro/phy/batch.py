@@ -253,27 +253,6 @@ def _sync_pick(
     return found, best, score, dc_norm
 
 
-def _find_sync_batch(
-    disc: np.ndarray,
-    power: np.ndarray,
-    template: np.ndarray,
-    template_mean: float,
-    spc: int,
-    threshold: float,
-    search_start: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :meth:`FskDemodulator.find_sync` over all rows.
-
-    One-shot combination of :func:`_sync_statics` + :func:`_sync_pick`;
-    the decode loop calls the pieces separately so re-arm attempts reuse
-    the statics.
-    """
-    corr, valid, disc_cum = _sync_statics(disc, power, template, threshold)
-    return _sync_pick(
-        corr, valid, disc_cum, template_mean, template.size, spc, search_start
-    )
-
-
 def _frame_from_symbols(
     symbols: np.ndarray,
     distances: np.ndarray,

@@ -13,7 +13,7 @@ so experiments are reproducible from seeds.
 from repro.radio.scheduler import Scheduler
 from repro.radio.medium import RfMedium, Transmission, PropagationModel
 from repro.radio.interference import WifiInterferer, wifi_channel_frequency_hz
-from repro.radio.shard import BufferPool, CellGrid, ShardedRfMedium
+from repro.radio.shard import BufferPool, CellGrid
 from repro.radio.transceiver import Transceiver
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "wifi_channel_frequency_hz",
     "BufferPool",
     "CellGrid",
-    "ShardedRfMedium",
     "Transceiver",
 ]

@@ -16,16 +16,16 @@ from the medium seed and keyed by the receiver's name — never from the
 order radios were attached or the order deliveries interleave across
 receivers.  Two simulations that agree on (seed, per-receiver delivery
 sequence) therefore produce byte-identical captures, which is what lets
-the sharded medium (:mod:`repro.radio.shard`) prove decision-identity
-against this dense reference implementation.
+the cell-grid scans below prove decision-identity against a brute-force
+scan of every radio and every transmission.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.obs import metrics as _current_metrics
 from repro.obs import trace_bus as _current_bus
 from repro.radio.interference import WifiInterferer
 from repro.radio.scheduler import Scheduler
+from repro.radio.shard import BufferPool, Cell, CellGrid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -101,10 +102,19 @@ class RfMedium:
     ``range_cutoff_m`` (optional) bounds the interaction radius: a
     transmission is neither delivered to, nor mixed into the capture of, a
     receiver farther than the cutoff from its origin, and CSMA-CA CCA does
-    not see it.  ``None`` (the default) keeps the historical unbounded
-    behaviour.  The cutoff is the *semantic contract* the spatially
-    partitioned :class:`~repro.radio.shard.ShardedRfMedium` implements with
-    an interest-managed index — dense-with-cutoff is its O(N·M) reference.
+    not see it.  ``None`` (the default) leaves the medium unbounded.
+
+    Scans go through interest sets kept on a
+    :class:`~repro.radio.shard.CellGrid` whose cell edge is the cutoff (one
+    infinite cell when unbounded): radios are indexed by (cell, 1 MHz
+    tuning bucket) and in-flight transmissions by origin cell, so a
+    transmission visits only the co-channel radios of the 3x3 cells around
+    its origin, and a capture composes only the transmissions of the 3x3
+    cells around its receiver.  The grid narrows *candidates* only: the
+    listening/in-band/in-range predicates decide, radios are scanned in
+    attach order and transmissions summed in identifier order, exactly as
+    a brute-force scan over everything would (``tests/radio/dense.py``
+    holds that scan as the differential oracle).
     """
 
     #: Margin added to half the receiver bandwidth when deciding whether a
@@ -112,6 +122,12 @@ class RfMedium:
     #: the signal anyway).  Roughly the occupied bandwidth of the signals
     #: simulated here.
     DELIVERY_MARGIN_HZ = 3e6
+
+    #: Width of one tuning interest bucket.  1 MHz is fine-grained enough
+    #: that a Zigbee channel plan (5 MHz spacing) lands adjacent PANs in
+    #: disjoint bucket ranges, and coarse enough that the bucket arithmetic
+    #: stays integer.
+    BUCKET_HZ = 1e6
 
     #: How far behind the current time a finished transmission is kept
     #: before being pruned from the superposition list.  It must exceed the
@@ -152,18 +168,34 @@ class RfMedium:
         if range_cutoff_m is not None and range_cutoff_m <= 0.0:
             raise ValueError("range_cutoff_m must be positive")
         self.range_cutoff_m = range_cutoff_m
-        self._radios: List["Transceiver"] = []
+        self.grid = CellGrid(
+            math.inf if range_cutoff_m is None else range_cutoff_m
+        )
+        # Every in-flight transmission, in identifier order.
         self._transmissions: List[Transmission] = []
         self._next_id = 0
+        # radio -> attach sequence number (the delivery-scan order) and
+        # radio -> (cell, bucket) as currently indexed.
+        self._attach_seq: Dict["Transceiver", int] = {}
+        self._next_seq = 0
+        self._radio_keys: Dict["Transceiver", Tuple[Cell, int]] = {}
+        # (cell, bucket) -> radios; origin cell -> in-flight transmissions.
+        self._cell_radios: Dict[Tuple[Cell, int], Set["Transceiver"]] = {}
+        self._cell_txs: Dict[Cell, List[Transmission]] = {}
+        # Widest in-band acceptance window over attached radios; bounds the
+        # bucket span a transmission must query.
+        self._max_limit_hz = 0.0
         # Per-receiver random streams, keyed by radio *name* (not insertion
         # order): each receiver's noise/shadowing/interference draws advance
         # only with its own captures.
         self._rx_streams: dict = {}
         # Capture-composition scratch: mixed-signal memo (a transmission is
-        # mixed to a given receiver tuning once, not once per delivery) and
-        # reusable noise buffers (grow-only, so steady-state captures do no
-        # float allocation for the thermal floor).
+        # mixed to a given receiver tuning once, not once per delivery),
+        # recycled composition buffers, and reusable noise buffers
+        # (grow-only, so steady-state captures do no float allocation for
+        # the thermal floor).
         self._mixed_cache: dict = {}
+        self.buffer_pool = BufferPool()
         self._noise_re = np.empty(0)
         self._noise_im = np.empty(0)
         self.fault_injector: Optional["FaultInjector"] = None
@@ -189,30 +221,49 @@ class RfMedium:
 
     # -- attachment ---------------------------------------------------------
     def attach(self, radio: "Transceiver") -> None:
-        if radio not in self._radios:
-            self._radios.append(radio)
-            # Stream creation is idempotent per name: detach + re-attach
-            # continues the same stream rather than rewinding it.
-            self._rx_streams.setdefault(
-                radio.name, self.derive_rng(f"medium.rx:{radio.name}")
-            )
+        if radio in self._attach_seq:
+            return
+        # A fresh sequence number on every attach: a re-attached radio is
+        # scanned after every radio attached before it.
+        self._attach_seq[radio] = self._next_seq
+        self._next_seq += 1
+        self._max_limit_hz = max(self._max_limit_hz, self._band_limit(radio))
+        self._index_radio(radio)
 
     def detach(self, radio: "Transceiver") -> None:
-        if radio in self._radios:
-            self._radios.remove(radio)
+        if self._attach_seq.pop(radio, None) is not None:
+            self._unindex_radio(radio)
 
-    def radio_moved(self, radio: "Transceiver") -> None:
-        """Notification hook: *radio*'s position changed.
+    def reindex(self, radio: "Transceiver") -> None:
+        """Re-file *radio* after its position or tuning changed."""
+        old = self._radio_keys.get(radio)
+        if old is None:
+            return  # not attached yet (mid-construction) or detached
+        if self._index_key(radio) != old:
+            self._unindex_radio(radio)
+            self._index_radio(radio)
 
-        The dense medium scans every radio on each transmit, so position is
-        always read fresh — nothing to update.  The sharded medium overrides
-        this to migrate the radio between grid cells.
-        """
+    def _index_key(self, radio: "Transceiver") -> Tuple[Cell, int]:
+        return (
+            self.grid.cell_of(radio.position),
+            int(radio.tuned_hz // self.BUCKET_HZ),
+        )
 
-    def radio_retuned(self, radio: "Transceiver") -> None:
-        """Notification hook: *radio*'s tuning changed (see radio_moved)."""
+    def _index_radio(self, radio: "Transceiver") -> None:
+        key = self._index_key(radio)
+        self._radio_keys[radio] = key
+        self._cell_radios.setdefault(key, set()).add(radio)
+
+    def _unindex_radio(self, radio: "Transceiver") -> None:
+        key = self._radio_keys.pop(radio)
+        members = self._cell_radios[key]
+        members.discard(radio)
+        if not members:
+            del self._cell_radios[key]
 
     def _rx_stream(self, radio: "Transceiver") -> np.random.Generator:
+        # Created on first use and never dropped, so detach + re-attach
+        # continues a receiver's stream rather than rewinding it.
         stream = self._rx_streams.get(radio.name)
         if stream is None:
             stream = self.derive_rng(f"medium.rx:{radio.name}")
@@ -240,7 +291,7 @@ class RfMedium:
         )
         self._next_id += 1
         self._transmissions.append(tx)
-        self._index_transmission(tx)
+        self._cell_txs.setdefault(self.grid.cell_of(tx.origin), []).append(tx)
         self.metrics.counter("medium.transmissions").inc()
         for radio in self._delivery_candidates(tx):
             if radio is source:
@@ -266,18 +317,23 @@ class RfMedium:
                 self._schedule_delivery(radio, tx)
         return tx
 
-    def _delivery_candidates(self, tx: Transmission) -> Iterable["Transceiver"]:
-        """Radios to consider delivering *tx* to, in attach order.
+    def _delivery_candidates(self, tx: Transmission) -> List["Transceiver"]:
+        """Radios near *tx*'s origin and tuning, in attach order.
 
-        The dense medium scans everything; the sharded medium narrows the
-        scan through its (cell, channel) interest sets.  Implementations
-        must preserve attach order so the scheduler's event sequence — and
-        therefore every downstream tie-break — is identical across them.
+        Attach order fixes the scheduler's delivery event sequence, and
+        with it every downstream tie-break.
         """
-        return self._radios
-
-    def _index_transmission(self, tx: Transmission) -> None:
-        """Hook: a transmission entered the superposition list."""
+        center = tx.signal.center_frequency
+        lo = int((center - self._max_limit_hz) // self.BUCKET_HZ)
+        hi = int((center + self._max_limit_hz) // self.BUCKET_HZ)
+        found: List["Transceiver"] = []
+        for cell in self.grid.neighborhood(self.grid.cell_of(tx.origin)):
+            for bucket in range(lo, hi + 1):
+                members = self._cell_radios.get((cell, bucket))
+                if members:
+                    found.extend(members)
+        found.sort(key=self._attach_seq.__getitem__)
+        return found
 
     def _trace_delivery(
         self, radio: "Transceiver", tx: Transmission, status: str
@@ -292,9 +348,11 @@ class RfMedium:
                 tx_id=tx.identifier,
             )
 
+    def _band_limit(self, radio: "Transceiver") -> float:
+        return radio.bandwidth_hz / 2.0 + self.DELIVERY_MARGIN_HZ
+
     def _in_band(self, radio: "Transceiver", center_frequency: float) -> bool:
-        limit = radio.bandwidth_hz / 2.0 + self.DELIVERY_MARGIN_HZ
-        return abs(radio.tuned_hz - center_frequency) <= limit
+        return abs(radio.tuned_hz - center_frequency) <= self._band_limit(radio)
 
     def _within_range(self, tx: Transmission, radio: "Transceiver") -> bool:
         if self.range_cutoff_m is None:
@@ -328,8 +386,8 @@ class RfMedium:
                 radio.handle_capture(capture, tx)
             finally:
                 # The transceiver filters into a fresh array, so the raw
-                # composition buffer can be recycled (pool-backed media).
-                self._release_capture_buffer(raw)
+                # composition buffer can be recycled.
+                self.buffer_pool.release(raw)
 
         self.scheduler.schedule_at(tx.end_time, deliver)
 
@@ -339,9 +397,9 @@ class RfMedium:
     ) -> IQSignal:
         """Superpose everything a receiver hears in a time window."""
         num = max(1, int(round((end_time - start_time) * self.sample_rate)))
-        total = self._acquire_capture_buffer(num)
+        total = self.buffer_pool.acquire(num)
         rng = self._rx_stream(radio)
-        for tx in self._compose_candidates(radio, start_time, end_time):
+        for tx in self._compose_candidates(radio):
             if tx.end_time <= start_time or tx.start_time >= end_time:
                 continue
             if tx.source is radio:
@@ -382,22 +440,17 @@ class RfMedium:
         total.imag += scale * im
         return IQSignal(total, self.sample_rate, radio.tuned_hz)
 
-    def _compose_candidates(
-        self, radio: "Transceiver", start_time: float, end_time: float
-    ) -> Iterable[Transmission]:
-        """Transmissions to consider mixing, in identifier order.
+    def _compose_candidates(self, radio: "Transceiver") -> List[Transmission]:
+        """Transmissions from the cells around *radio*, in identifier order.
 
         Identifier order fixes the floating-point summation order, which is
-        part of the byte-identity contract between implementations.
+        part of the byte-identity contract.
         """
-        return self._transmissions
-
-    def _acquire_capture_buffer(self, num: int) -> np.ndarray:
-        """A zeroed complex buffer of *num* samples (pool hook)."""
-        return np.zeros(num, dtype=np.complex128)
-
-    def _release_capture_buffer(self, samples: np.ndarray) -> None:
-        """Return a composition buffer after its delivery completed."""
+        found: List[Transmission] = []
+        for cell in self.grid.neighborhood(self.grid.cell_of(radio.position)):
+            found.extend(self._cell_txs.get(cell, ()))
+        found.sort(key=lambda tx: tx.identifier)
+        return found
 
     def _mixed_samples(self, tx: Transmission, tuned_hz: float) -> np.ndarray:
         """*tx*'s samples mixed to a receiver tuning, memoised per pairing.
@@ -431,18 +484,19 @@ class RfMedium:
 
     def _prune(self, before: float) -> None:
         kept = [tx for tx in self._transmissions if tx.end_time >= before]
-        if len(kept) != len(self._transmissions):
-            live = {tx.identifier for tx in kept}
-            self._mixed_cache = {
-                key: val
-                for key, val in self._mixed_cache.items()
-                if key[0] in live
-            }
-            self._prune_index(live)
+        if len(kept) == len(self._transmissions):
+            return
+        live = {tx.identifier for tx in kept}
+        self._mixed_cache = {
+            key: val for key, val in self._mixed_cache.items() if key[0] in live
+        }
+        cell_txs: Dict[Cell, List[Transmission]] = {}
+        for cell, txs in self._cell_txs.items():
+            remaining = [tx for tx in txs if tx.identifier in live]
+            if remaining:
+                cell_txs[cell] = remaining
+        self._cell_txs = cell_txs
         self._transmissions = kept
-
-    def _prune_index(self, live: set) -> None:
-        """Hook: transmissions outside *live* left the superposition list."""
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -462,7 +516,10 @@ class RfMedium:
         configured) — the energy-detect CCA that backs the MAC's unslotted
         CSMA-CA.
         """
-        for tx in self.active_transmissions:
+        now = self.scheduler.now
+        for tx in self._compose_candidates(radio):
+            if not tx.start_time <= now <= tx.end_time:
+                continue
             if tx.source is radio:
                 continue
             if not self._in_band(radio, tx.signal.center_frequency):

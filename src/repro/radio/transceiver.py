@@ -85,13 +85,13 @@ class Transceiver:
     # -- tuning / state ------------------------------------------------------
     @property
     def position(self) -> Tuple[float, float]:
-        """(x, y) in metres; assigning notifies the medium (cell migration)."""
+        """(x, y) in metres; assigning re-files the radio in the medium."""
         return self._position
 
     @position.setter
     def position(self, value: Tuple[float, float]) -> None:
         self._position = tuple(value)
-        self.medium.radio_moved(self)
+        self.medium.reindex(self)
 
     def tune(self, frequency_hz: float) -> None:
         """Retune the synthesiser (applies to both TX and RX)."""
@@ -101,7 +101,7 @@ class Transceiver:
                 "the 2.4-2.5 GHz ISM band"
             )
         self.tuned_hz = frequency_hz
-        self.medium.radio_retuned(self)
+        self.medium.reindex(self)
 
     @property
     def is_listening(self) -> bool:

@@ -10,8 +10,8 @@ and battery-powered sensors reporting on a staggered schedule — as frozen
 Everything about a spec is a pure function of its parameters and seed:
 node names, addresses, positions, phases and routing are computed
 deterministically (per-PAN streams keyed by PAN index), so the same spec
-instantiated on a dense medium, a sharded medium, or inside a worker
-process produces the same fleet.
+instantiated on any medium, or inside a worker process, produces the same
+fleet.
 """
 
 from __future__ import annotations
@@ -94,20 +94,11 @@ class FleetSpec:
     seed: int
     pans: Tuple[PanSpec, ...]
     sample_rate: float = FLEET_SAMPLE_RATE
-    range_cutoff_m: float = FLEET_RANGE_CUTOFF_M
+    range_cutoff_m: Optional[float] = FLEET_RANGE_CUTOFF_M  # None: unbounded
 
     @property
     def num_nodes(self) -> int:
         return sum(len(pan.nodes) for pan in self.pans)
-
-    @property
-    def diameter_m(self) -> float:
-        """An upper bound on the largest pairwise node distance."""
-        xs = [n.position[0] for pan in self.pans for n in pan.nodes]
-        ys = [n.position[1] for pan in self.pans for n in pan.nodes]
-        if not xs:
-            return 0.0
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
 def make_fleet(
@@ -122,7 +113,7 @@ def make_fleet(
     cluster_spacing_m: float = 60.0,
     cluster_radius_m: float = 6.0,
     sample_rate: float = FLEET_SAMPLE_RATE,
-    range_cutoff_m: float = FLEET_RANGE_CUTOFF_M,
+    range_cutoff_m: Optional[float] = FLEET_RANGE_CUTOFF_M,
 ) -> FleetSpec:
     """Build a deterministic fleet spec.
 
@@ -131,7 +122,7 @@ def make_fleet(
     scattered inside ``cluster_radius_m``, and (``mesh=True``) one router
     per ~8 members relaying half the sensors' reports.  ``channel_reuse``
     puts every PAN on ``base_channel`` (spatial-reuse workload — the
-    interesting case for a sharded medium); otherwise PANs cycle through
+    interesting case for the medium's cell grid); otherwise PANs cycle through
     the 16 Zigbee channels so they are spectrally disjoint.
     """
     if num_nodes < 2 * num_pans:

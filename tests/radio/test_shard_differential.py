@@ -1,21 +1,21 @@
-"""Differential equivalence: sharded medium vs dense reference.
+"""Differential equivalence: the cell-grid medium vs the dense oracle.
 
-The sharded medium's whole claim is *semantic transparency*: for any
-topology, any schedule, and any chaos profile, a
-:class:`ShardedRfMedium` must produce byte-identical delivered captures,
-an identical scheduler-ordered trace of delivery decisions, and identical
-decode outcomes to a dense :class:`RfMedium` configured with the same
-``range_cutoff_m``.  Hypothesis generates the topologies; every assertion
-here is exact (bytes and event lists, no tolerances).
+:class:`RfMedium` narrows its delivery and composition scans through a
+cell grid; that is only sound if it is *semantically transparent*: for
+any topology, any schedule, any chaos profile and any detach/re-attach
+history it must produce byte-identical delivered captures, an identical
+scheduler-ordered trace of delivery decisions, and identical decode
+outcomes to :class:`~tests.radio.dense.DenseRfMedium`, which scans every
+radio and every transmission.  Hypothesis generates the topologies; every
+assertion here is exact (bytes and event lists, no tolerances).
 
-A separate class pins the legacy boundary: a sharded medium whose cutoff
-exceeds the topology's diameter reproduces the *unbounded* dense medium
-byte for byte.
+Both a finite ``range_cutoff_m`` and an unbounded medium (``None``, one
+cell of infinite edge) are compared.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chips.rzusbstick import Dot15d4Radio
@@ -24,7 +24,8 @@ from repro.dsp.signal import IQSignal
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import named_profile
 from repro.obs import MEDIUM_DELIVERY, TraceRecorder, scoped
-from repro.radio import RfMedium, Scheduler, ShardedRfMedium, Transceiver
+from repro.radio import RfMedium, Scheduler, Transceiver
+from tests.radio.dense import DenseRfMedium
 
 SAMPLE_RATE = 4e6
 
@@ -63,12 +64,14 @@ def _tone(duration: int, tone: int, center: float) -> IQSignal:
     return IQSignal(samples, SAMPLE_RATE, center)
 
 
-def _run_world(medium_factory, topology, chaos=None):
+def _run_world(medium_factory, topology, chaos=None, reattach=None):
     """Simulate one scripted topology; return everything observable.
 
     Captures are recorded as raw bytes (per receiver, in delivery order)
     and the trace is recorded verbatim — byte/sequence equality between
     two worlds implies decision equality everywhere downstream.
+    ``reattach`` is ``(node index, detach µs, re-attach µs)``: that node
+    leaves the medium and rejoins it mid-run.
     """
     nodes, transmissions, cutoff = topology
     with scoped() as (bus, registry):
@@ -102,6 +105,15 @@ def _run_world(medium_factory, topology, chaos=None):
                 start_us * 1e-6,
                 lambda s=source, sig=signal: s.transmit(sig),
             )
+        if reattach is not None:
+            node_mod, detach_us, attach_us = reattach
+            radio = radios[node_mod % len(radios)]
+            scheduler.schedule_at(
+                detach_us * 1e-6, lambda: medium.detach(radio)
+            )
+            scheduler.schedule_at(
+                (detach_us + attach_us) * 1e-6, lambda: medium.attach(radio)
+            )
         scheduler.run(0.01)
         trace = [
             (e.name, e.time, tuple(sorted(e.fields.items())))
@@ -113,49 +125,82 @@ def _run_world(medium_factory, topology, chaos=None):
 
 
 def _dense(scheduler, cutoff):
+    return DenseRfMedium(
+        scheduler, sample_rate=SAMPLE_RATE, seed=3, range_cutoff_m=cutoff
+    )
+
+
+def _grid(scheduler, cutoff):
     return RfMedium(
         scheduler, sample_rate=SAMPLE_RATE, seed=3, range_cutoff_m=cutoff
     )
 
 
-def _sharded(scheduler, cutoff):
-    return ShardedRfMedium(
-        scheduler, sample_rate=SAMPLE_RATE, seed=3, range_cutoff_m=cutoff
-    )
-
-
 def _dense_unbounded(scheduler, _cutoff):
-    return RfMedium(scheduler, sample_rate=SAMPLE_RATE, seed=3)
+    return DenseRfMedium(scheduler, sample_rate=SAMPLE_RATE, seed=3)
 
 
-def _sharded_huge_cutoff(scheduler, _cutoff):
-    # Beyond any generated topology's diameter (40√2 m area): the range
-    # predicate never fires, so this must equal the unbounded dense medium.
-    return ShardedRfMedium(
-        scheduler, sample_rate=SAMPLE_RATE, seed=3, range_cutoff_m=100.0
+def _grid_unbounded(scheduler, _cutoff):
+    return RfMedium(
+        scheduler, sample_rate=SAMPLE_RATE, seed=3, range_cutoff_m=None
     )
 
 
 class TestCaptureByteIdentity:
-    """Sharded == dense-with-cutoff, exactly, on generated topologies."""
+    """Grid == dense oracle, exactly, on generated topologies."""
 
     @settings(max_examples=60, deadline=None)
     @given(topology=topology_st)
     def test_captures_and_trace_identical(self, topology):
         dense = _run_world(_dense, topology)
-        sharded = _run_world(_sharded, topology)
-        assert dense[0] == sharded[0]  # per-receiver capture bytes
-        assert dense[1] == sharded[1]  # delivery trace, in order
-        assert dense[2] == sharded[2]  # counters (incl. the ledger)
+        grid = _run_world(_grid, topology)
+        assert dense[0] == grid[0]  # per-receiver capture bytes
+        assert dense[1] == grid[1]  # delivery trace, in order
+        assert dense[2] == grid[2]  # counters (incl. the ledger)
 
     @settings(max_examples=25, deadline=None)
     @given(topology=topology_st)
-    def test_huge_cutoff_equals_legacy_dense(self, topology):
+    def test_unbounded_equals_dense_unbounded(self, topology):
         dense = _run_world(_dense_unbounded, topology)
-        sharded = _run_world(_sharded_huge_cutoff, topology)
-        assert dense[0] == sharded[0]
-        assert dense[1] == sharded[1]
-        assert dense[2] == sharded[2]
+        grid = _run_world(_grid_unbounded, topology)
+        assert dense[0] == grid[0]
+        assert dense[1] == grid[1]
+        assert dense[2] == grid[2]
+
+
+class TestReattachDifferential:
+    """A detached and re-attached radio is scanned after every radio
+    attached before it, exactly as the dense oracle's attach list says."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        topology=topology_st,
+        reattach=st.tuples(
+            st.integers(0, 7), st.integers(0, 800), st.integers(0, 400)
+        ),
+        unbounded=st.booleans(),
+    )
+    @example(
+        # Three co-located receivers a, b, c and a transmitter; a leaves
+        # and rejoins before the transmission, so it must be scanned last.
+        topology=(
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)],
+            [(3, 100, 96, 0)],
+            15.0,
+        ),
+        reattach=(0, 10, 10),
+        unbounded=False,
+    )
+    def test_reattach_worlds_identical(self, topology, reattach, unbounded):
+        dense, grid = (
+            (_dense_unbounded, _grid_unbounded) if unbounded
+            else (_dense, _grid)
+        )
+        dense = _run_world(dense, topology, reattach=reattach)
+        grid = _run_world(grid, topology, reattach=reattach)
+        assert dense[0] == grid[0]
+        assert dense[1] == grid[1]
+        assert dense[2] == grid[2]
 
 
 class TestChaosDifferential:
@@ -165,13 +210,13 @@ class TestChaosDifferential:
     @given(topology=topology_st, chaos=st.sampled_from(["dropout", "flaky-rx"]))
     def test_chaos_worlds_identical(self, topology, chaos):
         dense = _run_world(_dense, topology, chaos=chaos)
-        sharded = _run_world(_sharded, topology, chaos=chaos)
-        assert dense[0] == sharded[0]
-        assert dense[1] == sharded[1]
-        assert dense[2] == sharded[2]
+        grid = _run_world(_grid, topology, chaos=chaos)
+        assert dense[0] == grid[0]
+        assert dense[1] == grid[1]
+        assert dense[2] == grid[2]
         # The trace ledger must balance in both worlds: every scheduled
         # delivery is delivered or skipped; suppressions never schedule.
-        for captures, trace, counters in (dense, sharded):
+        for captures, trace, counters in (dense, grid):
             scheduled = counters.get("medium.deliveries.scheduled", 0)
             delivered = counters.get("medium.deliveries.delivered", 0)
             skipped = counters.get("medium.deliveries.skipped", 0)
@@ -218,4 +263,4 @@ class TestDecodeDecisionIdentity:
                 for p in received
             ]
 
-        assert world(_dense) == world(_sharded)
+        assert world(_dense) == world(_grid)

@@ -1,4 +1,4 @@
-"""Property tests for the sharded medium's interest management.
+"""Property tests for the medium's cell-grid interest management.
 
 Three families of guarantees beyond raw differential equality:
 
@@ -7,11 +7,13 @@ Three families of guarantees beyond raw differential equality:
   the node exists or not;
 * **migration** — moving a radio across a cell boundary (including while
   a frame is in flight) neither drops nor duplicates a delivery, and the
-  outcome matches the dense reference decision for decision;
+  outcome matches the dense oracle decision for decision;
 * **keyed randomness** — the regression the differential harness forced:
   per-receiver noise/fault streams are keyed by name, so outcomes are
   invariant under attach-order permutation and bystander insertion.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,14 +24,8 @@ from repro.dsp.signal import IQSignal
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, SampleDrops
 from repro.obs import MEDIUM_DELIVERY, TraceRecorder, scoped
-from repro.radio import (
-    BufferPool,
-    CellGrid,
-    RfMedium,
-    Scheduler,
-    ShardedRfMedium,
-    Transceiver,
-)
+from repro.radio import BufferPool, CellGrid, RfMedium, Scheduler, Transceiver
+from tests.radio.dense import DenseRfMedium
 
 SAMPLE_RATE = 4e6
 
@@ -40,8 +36,8 @@ def _tone(duration: int = 64, center: float = 2405e6) -> IQSignal:
     return IQSignal(samples, SAMPLE_RATE, center)
 
 
-def _sharded(seed: int = 3, cutoff: float = 15.0) -> ShardedRfMedium:
-    return ShardedRfMedium(
+def _grid(seed: int = 3, cutoff: float = 15.0) -> RfMedium:
+    return RfMedium(
         Scheduler(), sample_rate=SAMPLE_RATE, seed=seed, range_cutoff_m=cutoff
     )
 
@@ -72,6 +68,11 @@ class TestCellGrid:
     def test_rejects_nonpositive_cell(self):
         with pytest.raises(ValueError):
             CellGrid(0.0)
+
+    def test_infinite_cell_holds_every_point(self):
+        grid = CellGrid(math.inf)
+        points = [(0.0, 0.0), (1e9, 3.5), (-0.01, -1e9), (-250.0, 40.0)]
+        assert {grid.cell_of(p) for p in points} == {(0, 0)}
 
 
 class TestBufferPool:
@@ -111,7 +112,7 @@ class TestIsolation:
         def world(with_far: bool):
             with scoped() as (bus, _registry):
                 recorder = TraceRecorder(bus)
-                medium = _sharded()
+                medium = _grid()
                 scheduler = medium.scheduler
                 tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
                 tx.tune(2405e6)
@@ -150,7 +151,7 @@ class TestIsolation:
     def test_off_channel_node_gets_no_deliveries(self):
         with scoped() as (bus, _registry):
             recorder = TraceRecorder(bus)
-            medium = _sharded()
+            medium = _grid()
             tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
             tx.tune(2405e6)
             _near, near_caps = _recording_rx(medium, "near", (2.0, 0.0))
@@ -197,13 +198,13 @@ class TestMigration:
             scheduler.run(0.005)
             return [(i, b) for i, b in captures]
 
-        dense = world(RfMedium)
-        sharded = world(ShardedRfMedium)
-        assert dense == sharded
-        assert len(sharded) <= 1  # never duplicated
+        dense = world(DenseRfMedium)
+        grid = world(RfMedium)
+        assert dense == grid
+        assert len(grid) <= 1  # never duplicated
 
     def test_move_within_range_delivers_exactly_once(self):
-        medium = _sharded()
+        medium = _grid()
         scheduler = medium.scheduler
         tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
         tx.tune(2405e6)
@@ -218,7 +219,7 @@ class TestMigration:
         assert len(captures) == 1
 
     def test_move_out_of_range_skips_consistently(self):
-        medium = _sharded()
+        medium = _grid()
         scheduler = medium.scheduler
         tx = Transceiver(medium, name="tx", position=(0.0, 0.0))
         tx.tune(2405e6)

@@ -2,16 +2,19 @@
 
 Covers the structural contract of :func:`make_fleet` (determinism,
 addressing, mesh uplinks), and the campaign-level equivalences the
-sharded medium promises: serial == process-sharded, sharded == dense
-with the same cutoff, and a balanced delivery ledger after every run.
+cell-grid medium promises: serial == process-sharded, grid == the dense
+oracle with the same cutoff (and with none), and a balanced delivery
+ledger after every run.
 """
 
 import pytest
 
+from repro.experiments import fleet as fleet_module
 from repro.experiments.fleet import (
     format_fleet_report,
     run_fleet_campaign,
 )
+from tests.radio.dense import DenseRfMedium
 from repro.zigbee.fleet import (
     COORDINATOR_ADDRESS,
     ROUTER_ADDRESS_BASE,
@@ -104,14 +107,34 @@ class TestCampaign:
         assert serial.battery_curve == parallel.battery_curve
         assert serial.ledger == parallel.ledger
 
-    def test_sharded_equals_dense_with_cutoff(self, spec):
-        sharded = run_fleet_campaign(spec, duration_s=1.0, medium_kind="sharded")
-        dense = run_fleet_campaign(spec, duration_s=1.0, medium_kind="dense")
+    def test_sharded_equals_dense_with_cutoff(self, spec, monkeypatch):
+        sharded = run_fleet_campaign(spec, duration_s=1.0)
+        monkeypatch.setattr(fleet_module, "RfMedium", DenseRfMedium)
+        dense = run_fleet_campaign(spec, duration_s=1.0)
         assert [r.to_dict() for r in sharded.reports] == [
             r.to_dict() for r in dense.reports
         ]
         assert sharded.battery_curve == dense.battery_curve
         assert sharded.ledger == dense.ledger
+
+    def test_unbounded_equals_dense_unbounded(self, monkeypatch):
+        # Channel reuse: with no cutoff the two PANs hear each other.
+        unbounded = make_fleet(
+            num_nodes=12, num_pans=2, seed=4, channel_reuse=True,
+            range_cutoff_m=None,
+        )
+        grid = run_fleet_campaign(unbounded, duration_s=0.5)
+        monkeypatch.setattr(fleet_module, "RfMedium", DenseRfMedium)
+        dense = run_fleet_campaign(unbounded, duration_s=0.5)
+        assert [r.to_dict() for r in grid.reports] == [
+            r.to_dict() for r in dense.reports
+        ]
+        assert grid.ledger == dense.ledger
+        assert grid.ledger_balanced
+
+    def test_only_the_sharded_medium_kind(self, spec):
+        with pytest.raises(ValueError):
+            run_fleet_campaign(spec, duration_s=0.5, medium_kind="dense")
 
     def test_chaos_with_workers_rejected(self, spec):
         with pytest.raises(ValueError):
