@@ -19,6 +19,7 @@ waveform, including 802.15.4's O-QPSK with half-sine shaping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -40,6 +41,9 @@ __all__ = [
     "waveform_cache",
     "clear_waveform_caches",
     "lazy_capture_power",
+    "percentile90",
+    "SyncStatics",
+    "CORRELATORS",
     "FFT_SYNC_MIN_PRODUCT",
 ]
 
@@ -382,6 +386,13 @@ FFT_SYNC_MIN_PRODUCT = 1 << 21
 #: measured against BLAS-backed ``np.correlate`` on frame-sized captures).
 FFT_COST_FACTOR = 20.0
 
+#: Accepted ``correlator=`` / ``force=`` values (``None`` = cost model).
+CORRELATORS = (None, "direct", "fft")
+
+#: Sync templates kept memoised.  Receivers use one or two sync words;
+#: callers sweeping many just rebuild past this.
+_TEMPLATE_MEMO_SIZE = 8
+
 PowerInput = Union[np.ndarray, Callable[[], np.ndarray]]
 
 
@@ -403,17 +414,62 @@ def lazy_capture_power(sig: IQSignal) -> Callable[[], np.ndarray]:
     return supplier
 
 
+def percentile90(values: np.ndarray):
+    """``np.percentile(values, 90, axis=-1)``, bit for bit, by selection.
+
+    NumPy's default ``linear`` method places the 90th percentile of ``n``
+    values at the virtual index ``(n - 1) * 0.9`` and interpolates between
+    its two neighbouring order statistics.  This replica makes the same
+    ``np.partition`` call NumPy makes (same ``kth`` set, so the same
+    arrangement, NaNs sorted last) and the same two-sided lerp, but skips
+    the general quantile machinery around it.  *values* is a non-empty
+    float array; 1-D input yields a scalar, N-D input one value per row.
+    """
+    arr = np.asarray(values)
+    n = arr.shape[-1]
+    if n == 0:
+        raise ValueError("percentile of an empty array")
+    virtual = (n - 1) * 0.9
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    gamma = virtual - below
+    part = np.partition(arr, sorted({0, -1, below, above}), axis=-1)
+    low = part[..., below]
+    high = part[..., above]
+    diff = high - low
+    if gamma >= 0.5:
+        result = high - diff * (1 - gamma)
+    else:
+        result = low + diff * gamma
+    # NumPy reports NaN for any slice holding one; partition sorts NaN last.
+    last = part[..., -1]
+    if arr.ndim == 1:
+        return last if np.isnan(last) else result
+    return np.where(np.isnan(last), last, result)
+
+
+def _check_correlator(force: Optional[str]) -> None:
+    if force not in CORRELATORS:
+        raise ValueError(
+            f"unknown correlator {force!r}; expected one of {CORRELATORS}"
+        )
+
+
 def _correlate_valid(
     haystack: np.ndarray, template: np.ndarray, force: Optional[str] = None
 ) -> np.ndarray:
-    """``np.correlate(haystack, template, mode="valid")``, FFT above a size
-    threshold.
+    """``np.correlate(haystack, template, mode="valid")``, FFT when cheaper.
 
     *force* pins the implementation (``"fft"`` / ``"direct"``) for tests
     and benchmarks; the default compares the two cost models (O(N·M)
     multiply-adds vs O(N·log N) transform work).  Both paths return the
-    same values up to float rounding (~1e-12 relative).
+    same values up to float rounding (~1e-12 relative).  Any other
+    *force* value raises :class:`ValueError`.
     """
+    _check_correlator(force)
     if haystack.size < template.size:
         return np.zeros(0)
     n = int(haystack.size)
@@ -443,6 +499,100 @@ def _correlate_valid(
         n_fft,
     )
     return full[: n - template.size + 1]
+
+
+@dataclass(frozen=True)
+class _SyncTemplate:
+    """The NRZ template of one sync word and its correlation constants."""
+
+    key: tuple
+    template: np.ndarray
+    mean: float
+    centered: np.ndarray
+    norm: float
+
+
+@functools.lru_cache(maxsize=_TEMPLATE_MEMO_SIZE)
+def _sync_template(sync_key: bytes, samples_per_symbol: int) -> _SyncTemplate:
+    """The :class:`_SyncTemplate` of the sync bits packed in *sync_key*."""
+    bits = np.frombuffer(sync_key, dtype=np.uint8)
+    template = np.repeat(bits.astype(np.float64) * 2.0 - 1.0, samples_per_symbol)
+    mean = template.mean()
+    centered = template - mean
+    template.flags.writeable = centered.flags.writeable = False
+    return _SyncTemplate(
+        key=(sync_key, samples_per_symbol),
+        template=template,
+        mean=mean,
+        centered=centered,
+        norm=float(np.dot(centered, centered)),
+    )
+
+
+class SyncStatics:
+    """One capture's sync statistics that do not depend on *search_start*.
+
+    :meth:`FskDemodulator.find_sync` fills it on first use — the
+    normalised correlation and its above-threshold alignments per (sync
+    template, threshold, correlator), the windowed RSSI profile and its
+    gate per template length — so every re-armed search over the same
+    discriminator output only moves its start.  It belongs to one
+    ``(disc, power)`` pair; receivers create it with the capture's front
+    end and drop it with the capture, so nothing outlives the decode.
+    """
+
+    __slots__ = ("disc", "_searches", "_rssi")
+
+    def __init__(self, disc: np.ndarray):
+        self.disc = disc
+        self._searches: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._rssi: Dict[int, list] = {}
+
+    def search(
+        self, tpl: _SyncTemplate, threshold: float, correlator: Optional[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(corr, above)``: the correlation and its threshold crossings."""
+        key = (tpl.key, threshold, correlator)
+        entry = self._searches.get(key)
+        if entry is None:
+            corr = (
+                _correlate_valid(self.disc, tpl.centered, force=correlator)
+                / tpl.norm
+            )
+            entry = (corr, np.flatnonzero(corr >= threshold))
+            self._searches[key] = entry
+        return entry
+
+    def first_gated(
+        self, power: np.ndarray, window: int, candidates: np.ndarray, size: int
+    ) -> Optional[int]:
+        """First of *candidates* whose windowed power clears the RSSI gate.
+
+        The gate is a quarter of the 90th percentile of the mean power
+        over each *window*-sample alignment (the first *size* of them).
+        A candidate at or above a quarter of the profile's maximum clears
+        it whatever the percentile is, since a linearly interpolated
+        percentile never exceeds the maximum and scaling by 0.25 keeps
+        the order, so the percentile is only selected when the first
+        candidate sits in a weak stretch.
+        """
+        entry = self._rssi.get(window)
+        if entry is None:
+            cumulative = np.concatenate(
+                [[0.0], np.cumsum(power[: self.disc.size])]
+            )
+            windowed = (cumulative[window:] - cumulative[:-window]) / window
+            windowed = windowed[:size]
+            entry = [windowed, 0.25 * float(windowed.max()), None]
+            self._rssi[window] = entry
+        windowed, sure, gate = entry
+        first = int(candidates[0])
+        if windowed[first] >= sure:
+            return first
+        if gate is None:
+            gate = entry[2] = 0.25 * float(percentile90(windowed))
+        passed = np.flatnonzero(windowed[candidates] >= gate)
+        return int(candidates[passed[0]]) if passed.size else None
 
 
 class FskDemodulator:
@@ -485,6 +635,7 @@ class FskDemodulator:
         power: Optional[PowerInput] = None,
         search_start: int = 0,
         correlator: Optional[str] = None,
+        statics: Optional[SyncStatics] = None,
     ) -> Optional[SyncResult]:
         """Search the discriminator output for a sync word.
 
@@ -496,13 +647,15 @@ class FskDemodulator:
         The correlation is performed against a mean-removed template so a
         static carrier-frequency offset does not masquerade as (or mask) a
         match; the removed mean is then used to estimate that offset.
-        Above :data:`FFT_SYNC_MIN_PRODUCT` multiply-adds the correlation
-        runs as an FFT product instead of in the time domain (*correlator*
-        pins one implementation: ``"fft"`` / ``"direct"``).
+        The correlation runs in the time domain or as an FFT product,
+        whichever the cost model in :func:`_correlate_valid` rates cheaper;
+        *correlator* pins one implementation (``"fft"`` / ``"direct"``),
+        and any value outside :data:`CORRELATORS` raises
+        :class:`ValueError`.
 
         *power* (per-sample |x|², aligned with *disc*) enables an RSSI gate:
-        candidate alignments whose windowed power falls well below the
-        strongest part of the capture are rejected, so clipped noise in the
+        candidate alignments whose windowed power falls below a quarter of
+        the profile's 90th percentile are rejected, so clipped noise in the
         pre-frame margin cannot trigger a false sync.  It may be given as a
         zero-argument callable, evaluated only when at least one candidate
         clears *threshold* — captures with no correlation peak never pay
@@ -510,50 +663,44 @@ class FskDemodulator:
 
         *search_start* skips the beginning of the capture — receivers use it
         to re-arm the correlator after a sync that failed to yield a frame.
+        *statics* (a :class:`SyncStatics` for this *disc* and *power*)
+        carries the correlation and gate between such re-armed searches;
+        without it each call computes them afresh.
         """
-        template = self._template(sync_bits)
-        if disc.size < template.size:
+        _check_correlator(correlator)
+        tpl = _sync_template(
+            as_bit_array(sync_bits).tobytes(), self.config.samples_per_symbol
+        )
+        if disc.size < tpl.template.size:
             return None
-        template_centered = template - template.mean()
-        norm = float(np.dot(template_centered, template_centered))
-        if norm == 0.0:
+        if tpl.norm == 0.0:
             raise ValueError("sync word must not be constant")
-        corr = _correlate_valid(disc, template_centered, force=correlator) / norm
-        valid = corr >= threshold
-        if search_start > 0:
-            valid[: min(search_start, valid.size)] = False
-        if not valid.any():
+        if statics is None:
+            statics = SyncStatics(disc)
+        elif statics.disc is not disc:
+            raise ValueError("statics belong to a different capture")
+        corr, above = statics.search(tpl, threshold, correlator)
+        k = int(np.searchsorted(above, search_start)) if search_start > 0 else 0
+        if k >= above.size:
             return None
+        first = int(above[k])
         power_arr = power() if callable(power) else power
         if power_arr is not None and power_arr.size >= disc.size:
-            window = template.size
-            cumulative = np.concatenate(
-                [[0.0], np.cumsum(power_arr[: disc.size])]
+            first = statics.first_gated(
+                power_arr, tpl.template.size, above[k:], corr.size
             )
-            windowed = (cumulative[window:] - cumulative[:-window]) / window
-            windowed = windowed[: corr.size]
-            gate = 0.25 * float(np.percentile(windowed, 90))
-            valid &= windowed >= gate
-        above = np.nonzero(valid)[0]
-        if above.size == 0:
-            return None
-        first = int(above[0])
+            if first is None:
+                return None
         window_end = min(first + 2 * self.config.samples_per_symbol, corr.size)
         best = first + int(np.argmax(corr[first:window_end]))
         score = float(corr[best])
-        window = disc[best : best + template.size]
-        dc_norm = float(window.mean() - template.mean())
+        window = disc[best : best + tpl.template.size]
+        dc_norm = float(window.mean() - tpl.mean)
         return SyncResult(
             start=best,
             score=score,
             dc_offset=dc_norm * self.frequency_deviation,
         )
-
-    def _template(self, sync_bits) -> np.ndarray:
-        arr = as_bit_array(sync_bits)
-        sps = self.config.samples_per_symbol
-        nrz = arr.astype(np.float64) * 2.0 - 1.0
-        return np.repeat(nrz, sps)
 
     # -- decisions --------------------------------------------------------
     def soft_symbols(

@@ -17,6 +17,7 @@ symbols is deliberately *not* done here — that belongs to the PHY layer
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -24,9 +25,11 @@ import numpy as np
 
 from repro.dsp.filters import half_sine_pulse
 from repro.dsp.gfsk import (
+    _TEMPLATE_MEMO_SIZE,
     FskDemodulator,
     GfskConfig,
     SyncResult,
+    SyncStatics,
     lazy_capture_power,
 )
 from repro.dsp.msk import chips_to_transitions, transitions_to_chips
@@ -34,6 +37,15 @@ from repro.dsp.signal import IQSignal
 from repro.utils.bits import as_bit_array
 
 __all__ = ["OqpskModulator", "OqpskDemodulator", "ChipSyncResult"]
+
+
+@functools.lru_cache(maxsize=_TEMPLATE_MEMO_SIZE)
+def _sync_transitions(sync_key: bytes, start_index: int) -> np.ndarray:
+    """Memoised :func:`chips_to_transitions` of the sync chips in *sync_key*."""
+    chips = np.frombuffer(sync_key, dtype=np.uint8)
+    transitions = chips_to_transitions(chips, start_index=start_index)
+    transitions.flags.writeable = False
+    return transitions
 
 
 class OqpskModulator:
@@ -119,15 +131,19 @@ class OqpskDemodulator:
         )
         self._fsk = FskDemodulator(config, chip_rate)
 
-    def front_end(self, sig: IQSignal) -> Tuple[np.ndarray, object]:
-        """Run the analogue front end once: ``(disc, power)``.
+    def front_end(self, sig: IQSignal) -> Tuple[np.ndarray, object, SyncStatics]:
+        """Run the analogue front end once: ``(disc, power, statics)``.
 
-        *disc* is the discriminator output and *power* a lazy,
-        memoised instantaneous-power supplier.  Pass the pair to
-        :meth:`receive_chips` via ``front_end=`` to reuse it across
-        re-armed sync searches instead of recomputing per attempt.
+        *disc* is the discriminator output, *power* a lazy, memoised
+        instantaneous-power supplier and *statics* the capture's
+        :class:`~repro.dsp.gfsk.SyncStatics`, filled by the first sync
+        search.  Pass the triple to :meth:`receive_chips` via
+        ``front_end=`` to reuse the discriminator, correlation and RSSI
+        gate across re-armed sync searches instead of recomputing them
+        per attempt; drop it with the capture.
         """
-        return self._fsk.discriminate(sig), lazy_capture_power(sig)
+        disc = self._fsk.discriminate(sig)
+        return disc, lazy_capture_power(sig), SyncStatics(disc)
 
     def receive_chips(
         self,
@@ -137,7 +153,7 @@ class OqpskDemodulator:
         max_chips: int,
         threshold: float = 0.45,
         search_start: int = 0,
-        front_end: Optional[Tuple[np.ndarray, object]] = None,
+        front_end: Optional[Tuple[np.ndarray, object, SyncStatics]] = None,
     ) -> Optional[Tuple[np.ndarray, ChipSyncResult]]:
         """Acquire *sync_chips* and decode the chips that follow.
 
@@ -158,7 +174,8 @@ class OqpskDemodulator:
             (used to re-arm after a sync that produced no frame).
         front_end:
             A previously computed :meth:`front_end` result for *sig*;
-            when given, the discriminator and power are not recomputed.
+            when given, the discriminator, power, correlation and RSSI
+            gate are not recomputed.
 
         Returns
         -------
@@ -169,16 +186,17 @@ class OqpskDemodulator:
         sync_arr = as_bit_array(sync_chips)
         if sync_arr.size < 8:
             raise ValueError("sync pattern too short for reliable correlation")
-        template = chips_to_transitions(sync_arr, start_index=sync_start_index)
+        template = _sync_transitions(sync_arr.tobytes(), sync_start_index)
         if front_end is None:
             front_end = self.front_end(sig)
-        disc, power = front_end
+        disc, power, statics = front_end
         sync = self._fsk.find_sync(
             disc,
             template,
             threshold=threshold,
             power=power,
             search_start=search_start,
+            statics=statics,
         )
         if sync is None:
             return None

@@ -31,13 +31,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.dot15d4.fcs import verify_fcs
+from repro.dsp.gfsk import percentile90
 from repro.dsp.msk import chips_to_transitions
 from repro.phy.ieee802154 import (
     CHIPS_PER_SYMBOL,
     MAX_PSDU_SIZE,
-    PN_MATRIX,
     PN_SEQUENCES,
     Ppdu,
+    pn_distances,
     symbol_confidences,
 )
 
@@ -128,14 +129,9 @@ def despread_blocks_soft(
             f"{arr.shape[-1]}"
         )
     lead = arr.shape[:-1]
-    flat = arr.reshape(-1, CHIPS_PER_SYMBOL).astype(np.int32)
-    pn = PN_MATRIX.astype(np.int32)
-    # |p ^ c| = |p| + |c| − 2·p·c: one (N, 32) × (32, 16) matmul.
-    dists = pn.sum(axis=1)[None, :] + flat.sum(axis=1)[:, None]
-    dists -= 2 * (flat @ pn.T)
+    dists = pn_distances(arr.reshape(-1, CHIPS_PER_SYMBOL)).astype(np.int32)
     symbols = dists.argmin(axis=1)
-    rows = np.arange(flat.shape[0])
-    best = dists[rows, symbols]
+    best = dists.min(axis=1)
     two_best = np.partition(dists, 1, axis=1)[:, :2]
     llrs = two_best[:, 1] - two_best[:, 0]
     return (
@@ -203,7 +199,7 @@ def _sync_statics(
     )
     windowed = (cumulative[..., window:] - cumulative[..., :-window]) / window
     windowed = windowed[..., :m]
-    gate = 0.25 * np.percentile(windowed, 90, axis=-1, keepdims=True)
+    gate = 0.25 * percentile90(windowed)[..., None]
     valid &= windowed >= gate
     disc_cum = np.concatenate(
         [

@@ -40,6 +40,7 @@ __all__ = [
     "spread_symbols",
     "despread_symbol",
     "despread_chips",
+    "pn_distances",
     "symbol_confidences",
     "Ppdu",
     "SHR_SYMBOLS",
@@ -80,6 +81,11 @@ PN_SEQUENCES: Tuple[np.ndarray, ...] = tuple(
 
 # All sequences stacked as a (16, 32) matrix for vectorised Hamming search.
 PN_MATRIX: np.ndarray = np.stack(PN_SEQUENCES)
+
+# Despread constants: each sequence's weight |p| and its ±1 form, so that
+# |p ^ c| = |p| - c·(2p - 1) for a 0/1 chip block c.
+_PN_WEIGHTS = PN_MATRIX.sum(axis=1).astype(np.float64)
+_PN_SIGNED_T = np.ascontiguousarray(2.0 * PN_MATRIX.T - 1.0)
 
 
 def symbols_for_byte(value: int) -> Tuple[int, int]:
@@ -130,6 +136,16 @@ def despread_symbol(chips: np.ndarray) -> Tuple[int, int]:
     return best, int(distances[best])
 
 
+def pn_distances(blocks: np.ndarray) -> np.ndarray:
+    """Hamming distance of each 32-chip row of *blocks* to every PN sequence.
+
+    *blocks* is ``(N, 32)`` of 0/1 chips; the result is ``(N, 16)``
+    float64.  It is one BLAS matmul against the hoisted ±1 PN matrix and
+    exact: every product and sum is a small integer, far below 2**53.
+    """
+    return _PN_WEIGHTS - blocks.astype(np.float64) @ _PN_SIGNED_T
+
+
 def despread_chips(
     chips: np.ndarray, max_distance: Optional[int] = None
 ) -> Tuple[List[int], List[int]]:
@@ -145,25 +161,17 @@ def despread_chips(
     num_blocks = arr.size // CHIPS_PER_SYMBOL
     if num_blocks == 0:
         return [], []
-    blocks = arr[: num_blocks * CHIPS_PER_SYMBOL].reshape(
-        num_blocks, CHIPS_PER_SYMBOL
-    ).astype(np.int32)
-    # Hamming distance via the identity |p ^ c| = |p| + |c| - 2·p·c — one
-    # (N, 32)×(32, 16) matmul instead of a Python loop over blocks.
-    pn = PN_MATRIX.astype(np.int32)
-    dists = pn.sum(axis=1)[None, :] + blocks.sum(axis=1)[:, None]
-    dists -= 2 * (blocks @ pn.T)
-    best = np.argmin(dists, axis=1)
-    best_dist = dists[np.arange(num_blocks), best]
+    dists = pn_distances(
+        arr[: num_blocks * CHIPS_PER_SYMBOL].reshape(num_blocks, CHIPS_PER_SYMBOL)
+    )
+    best = dists.argmin(axis=1)
+    best_dist = dists.min(axis=1).astype(np.int64)
     stop = num_blocks
     if max_distance is not None:
         over = np.flatnonzero(best_dist > max_distance)
         if over.size:
             stop = int(over[0])
-    return (
-        [int(s) for s in best[:stop]],
-        [int(d) for d in best_dist[:stop]],
-    )
+    return best[:stop].tolist(), best_dist[:stop].tolist()
 
 
 def symbol_confidences(distances: Sequence[int]) -> List[float]:

@@ -231,3 +231,48 @@ class TestPpdu:
         symbols = Ppdu(psdu=psdu).to_symbols()
         parsed = Ppdu.parse_symbols(symbols[8:])
         assert parsed is not None and parsed.psdu == psdu
+
+
+def _brute_force_despread(chips, max_distance=None):
+    """Per-block XOR/popcount against every PN row; first minimum wins."""
+    symbols, distances = [], []
+    for start in range(0, len(chips) - CHIPS_PER_SYMBOL + 1, CHIPS_PER_SYMBOL):
+        block = [int(c) for c in chips[start : start + CHIPS_PER_SYMBOL]]
+        row_distances = [
+            sum(b ^ int(p) for b, p in zip(block, PN_SEQUENCES[s]))
+            for s in range(16)
+        ]
+        best = min(range(16), key=row_distances.__getitem__)
+        if max_distance is not None and row_distances[best] > max_distance:
+            break
+        symbols.append(best)
+        distances.append(row_distances[best])
+    return symbols, distances
+
+
+class TestDespreadBruteForce:
+    """The matmul despreader equals a per-chip XOR/popcount reference."""
+
+    @given(
+        st.lists(st.integers(0, 1), max_size=32 * 12 + 31),
+        st.one_of(st.none(), st.integers(0, 20)),
+    )
+    def test_random_streams(self, chips, max_distance):
+        chips = np.array(chips, dtype=np.uint8)
+        got = despread_chips(chips, max_distance=max_distance)
+        assert got == _brute_force_despread(chips, max_distance)
+        assert all(type(v) is int for v in got[0] + got[1])
+
+    @given(
+        st.lists(st.integers(0, 15), min_size=1, max_size=12),
+        st.lists(st.integers(0, 32 * 12 - 1), max_size=80),
+        st.integers(0, 16),
+    )
+    def test_noisy_frames_with_truncation(self, symbols, flips, max_distance):
+        chips = spread_symbols(symbols)
+        for i in flips:
+            if i < chips.size:
+                chips[i] ^= 1
+        assert despread_chips(chips, max_distance=max_distance) == (
+            _brute_force_despread(chips, max_distance)
+        )
